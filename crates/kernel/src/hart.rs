@@ -26,6 +26,7 @@ use std::collections::VecDeque;
 use ptstore_mmu::Mmu;
 
 use crate::cycles::CycleCounter;
+use crate::lazy_queue::LazyQueue;
 use crate::process::{Pid, ProcHandle};
 
 /// What a cross-hart message carries.
@@ -86,7 +87,7 @@ pub struct Hart {
     pub current: Pid,
     /// This hart's private run queue; an idle hart steals from the others
     /// in deterministic id order.
-    pub run_queue: VecDeque<Pid>,
+    pub run_queue: RunQueue,
     /// Cycles attributed to work performed on this hart.
     pub cycles: CycleCounter,
     /// Pending cross-hart messages, drained (in logical-time order) when
@@ -115,7 +116,7 @@ impl Hart {
             id,
             mmu,
             current: 0,
-            run_queue: VecDeque::new(),
+            run_queue: RunQueue::default(),
             cycles: CycleCounter::new(),
             mailbox: VecDeque::new(),
             msg_seq: 0,
@@ -143,6 +144,15 @@ impl Hart {
         msgs
     }
 }
+
+/// A hart's FIFO run queue.
+///
+/// The queue may hold the same pid more than once (a pid still queued can
+/// be requeued by a context switch) and may hold stale entries (a queued
+/// pid that has since exited; `pick_next` drops those as it pops them).
+/// Reaping a pid removes every copy in O(1) amortized, so a queue full of
+/// stale zombies does not make each reap scan it.
+pub type RunQueue = LazyQueue<Pid>;
 
 #[cfg(test)]
 mod tests {

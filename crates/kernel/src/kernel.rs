@@ -24,6 +24,7 @@ use crate::fs::{PipeTable, RamFs};
 use crate::hart::{Hart, HartMsg, HartMsgKind};
 use crate::pagetable::{direct_map_va, pte_slot, DIRECT_MAP_BASE, HUGE_PAGE_SPAN};
 use crate::process::{Pid, Process, ProcessTable};
+use crate::rmap::Rmap;
 use crate::sbi::{SbiCall, SbiFirmware, SbiResult};
 use crate::slab::SlabCache;
 use crate::stats::{KernelStats, SecurityEvent};
@@ -88,7 +89,7 @@ pub struct Kernel {
     /// Reference counts of user data pages.
     pub(crate) page_refs: HashMap<u64, u32>,
     /// Reverse map: user page → (pid, vpn) mappings.
-    pub(crate) rmap: HashMap<u64, Vec<(Pid, u64)>>,
+    pub(crate) rmap: Rmap,
     pub(crate) pipes: PipeTable,
     pub(crate) sockets: HashMap<u32, Socket>,
     pub(crate) next_socket: u32,
@@ -255,7 +256,7 @@ impl Kernel {
             kernel_pt_pages: Vec::new(),
             shared_text_ppn: PhysPageNum::new(0),
             page_refs: HashMap::new(),
-            rmap: HashMap::new(),
+            rmap: Rmap::default(),
             pipes: PipeTable::new(),
             sockets: HashMap::new(),
             next_socket: 1,
@@ -401,7 +402,7 @@ impl Kernel {
         let msgs = self.harts[hart].drain_mailbox();
         for m in &msgs {
             if let HartMsgKind::ProcReaped { pid } = m.kind {
-                self.harts[hart].run_queue.retain(|&p| p != pid);
+                self.harts[hart].run_queue.remove_all(pid);
             }
         }
         self.stats.hart_msgs_merged += msgs.len() as u64;
@@ -1002,11 +1003,11 @@ impl Kernel {
             self.charge(CostKind::Adjustment, cost::ADJUST_MIGRATE_PAGE);
             self.raw_copy_page(old, new)?;
             // Re-point every mapping of the old page.
-            if let Some(users) = self.rmap.remove(&old.as_u64()) {
-                for &(pid, vpn) in &users {
+            if let Some(sharers) = self.rmap.take(old.as_u64()) {
+                for (pid, vpn) in sharers.iter() {
                     self.repoint_mapping(pid, vpn, new)?;
                 }
-                self.rmap.insert(new.as_u64(), users);
+                self.rmap.put(new.as_u64(), sharers);
             }
             if let Some(refs) = self.page_refs.remove(&old.as_u64()) {
                 self.page_refs.insert(new.as_u64(), refs);
@@ -1222,7 +1223,7 @@ impl Kernel {
                 huge: false,
             },
         );
-        self.rmap.entry(ppn.as_u64()).or_default().push((pid, vpn));
+        self.rmap.add(ppn.as_u64(), pid, vpn);
         Ok(())
     }
 
@@ -1245,12 +1246,7 @@ impl Kernel {
         if let Some(p) = self.procs.get_mut(pid) {
             p.aspace.user.remove(&vpn);
         }
-        if let Some(users) = self.rmap.get_mut(&ppn.as_u64()) {
-            users.retain(|&(up, uv)| !(up == pid && uv == vpn));
-            if users.is_empty() {
-                self.rmap.remove(&ppn.as_u64());
-            }
-        }
+        self.rmap.remove(ppn.as_u64(), pid, vpn);
         Ok(ppn)
     }
 
@@ -1434,7 +1430,7 @@ impl Kernel {
         for i in 0..HUGE_PAGE_SPAN {
             let page = m.ppn.as_u64() + i;
             self.page_refs.insert(page, 1);
-            self.rmap.entry(page).or_default().push((pid, base_vpn + i));
+            self.rmap.add(page, pid, base_vpn + i);
         }
         let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
         p.aspace.user.remove(&base_vpn);

@@ -62,9 +62,11 @@ pub mod fs;
 pub mod hart;
 pub mod introspect;
 pub mod kernel;
+pub mod lazy_queue;
 pub mod pagetable;
 pub mod proc_mgmt;
 pub mod process;
+mod rmap;
 pub mod sbi;
 pub mod slab;
 pub mod stats;
@@ -75,7 +77,7 @@ pub use config::{ConfigError, DefenseMode, KernelConfig, KernelConfigBuilder};
 pub use cycles::{cost, CostKind, CycleCounter};
 pub use drain::{DrainFault, DrainPolicy, DrainPolicyParseError, DEFAULT_WATERMARK_DEPTH};
 pub use error::KernelError;
-pub use hart::{Hart, HartMsg, HartMsgKind};
+pub use hart::{Hart, HartMsg, HartMsgKind, RunQueue};
 pub use introspect::AttackerFault;
 pub use kernel::{IpiFault, Kernel};
 pub use proc_mgmt::FaultResolution;

@@ -1,6 +1,8 @@
 //! Process lifecycle: creation, fork with copy-on-write, exec, exit/wait,
 //! demand paging, and scheduling (`copy_mm`/`switch_mm` of paper §IV-C4).
 
+use std::collections::BTreeSet;
+
 use ptstore_core::{AccessKind, PhysPageNum, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 use ptstore_mmu::{Pte, PteFlags, TranslateError};
 
@@ -57,7 +59,8 @@ impl Kernel {
             fds: FdTable::with_std(),
             signals: SignalTable::default(),
             exit_code: 0,
-            children: Vec::new(),
+            children: BTreeSet::new(),
+            zombies: BTreeSet::new(),
             mm_owner: None,
             threads: Vec::new(),
         };
@@ -204,7 +207,8 @@ impl Kernel {
             fds,
             signals,
             exit_code: 0,
-            children: Vec::new(),
+            children: BTreeSet::new(),
+            zombies: BTreeSet::new(),
             mm_owner: None,
             threads: Vec::new(),
         };
@@ -270,11 +274,12 @@ impl Kernel {
         self.mem_write(pt_slot, root.base_addr().as_u64())?;
         self.token_issue_as(child_pid, ptstore_trace::TokenOp::Copy)?;
 
-        self.procs
-            .get_mut(parent_pid)
-            .expect("parent exists")
-            .children
-            .push(child_pid);
+        let parent = self.procs.get_mut(parent_pid).expect("parent exists");
+        debug_assert!(
+            parent.children.last() < Some(&child_pid),
+            "child pids ascend"
+        );
+        parent.children.insert(child_pid);
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(child_pid);
         // Publish the new process to the other harts (visibility record for
@@ -341,7 +346,8 @@ impl Kernel {
             fds,
             signals,
             exit_code: 0,
-            children: Vec::new(),
+            children: BTreeSet::new(),
+            zombies: BTreeSet::new(),
             mm_owner: Some(owner),
             threads: Vec::new(),
         };
@@ -365,11 +371,9 @@ impl Kernel {
             .threads
             .push(tid);
         let spawner = self.current_pid();
-        self.procs
-            .get_mut(spawner)
-            .expect("spawner exists")
-            .children
-            .push(tid);
+        let spawner = self.procs.get_mut(spawner).expect("spawner exists");
+        debug_assert!(spawner.children.last() < Some(&tid), "child pids ascend");
+        spawner.children.insert(tid);
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(tid);
         for h in 0..self.harts.len() {
@@ -468,11 +472,7 @@ impl Kernel {
             if let Some(op) = self.procs.get_mut(owner) {
                 op.threads.retain(|&t| t != pid);
             }
-            {
-                let p = self.procs.get_mut(pid).expect("exists");
-                p.state = ProcState::Zombie;
-                p.exit_code = code;
-            }
+            self.zombify(pid, code);
             self.stats.exits += 1;
             if let Some(next) = self.pick_next() {
                 self.do_switch_to(next)?;
@@ -495,17 +495,27 @@ impl Kernel {
         for ppn in pt_pages.into_iter().rev() {
             self.free_pt_page(ppn)?;
         }
-        {
-            let p = self.procs.get_mut(pid).expect("exists");
-            p.state = ProcState::Zombie;
-            p.exit_code = code;
-        }
+        self.zombify(pid, code);
         self.stats.exits += 1;
         // Schedule away if anyone is runnable.
         if let Some(next) = self.pick_next() {
             self.do_switch_to(next)?;
         }
         Ok(())
+    }
+
+    /// Marks `pid` a zombie and files it with its parent's waitable
+    /// children (a parent already reaped has none to file it with).
+    fn zombify(&mut self, pid: Pid, code: i32) {
+        let parent = {
+            let p = self.procs.get_mut(pid).expect("exists");
+            p.state = ProcState::Zombie;
+            p.exit_code = code;
+            p.parent
+        };
+        if let Some(parent) = parent.and_then(|pp| self.procs.get_mut(pp)) {
+            parent.zombies.insert(pid);
+        }
     }
 
     pub(crate) fn close_all_fds(&mut self, pid: Pid) -> Result<(), KernelError> {
@@ -532,21 +542,27 @@ impl Kernel {
     }
 
     /// `wait()`: reaps one zombie child, freeing its PCB; returns
-    /// `(pid, exit_code)`.
+    /// `(pid, exit_code)`. The lowest-pid zombie goes first.
     ///
     /// # Errors
     /// [`KernelError::InvalidState`] when no child is a zombie.
     pub fn do_wait(&mut self) -> Result<(Pid, i32), KernelError> {
         let parent = self.current_pid();
-        let zombie = {
+        let child = loop {
             let p = self.procs.get(parent).ok_or(KernelError::NoSuchProcess)?;
-            p.children
-                .iter()
-                .copied()
-                .find(|&c| matches!(self.procs.get(c), Some(cp) if cp.state == ProcState::Zombie))
-        };
-        let Some(child) = zombie else {
-            return Err(KernelError::InvalidState);
+            let Some(&c) = p.zombies.first() else {
+                return Err(KernelError::InvalidState);
+            };
+            if matches!(self.procs.get(c), Some(cp) if cp.state == ProcState::Zombie) {
+                break c;
+            }
+            // Switched to after it exited (possible without token checks):
+            // no longer waitable until it exits again.
+            self.procs
+                .get_mut(parent)
+                .expect("parent exists")
+                .zombies
+                .remove(&c);
         };
         let (pcb_addr, code) = {
             let cp = self.procs.get(child).expect("zombie exists");
@@ -565,7 +581,7 @@ impl Kernel {
         // through their mailboxes and prune at their next activation (safe to
         // defer: pids are never recycled, and `pick_next` validates entries).
         let hart = self.active_hart;
-        self.harts[hart].run_queue.retain(|&p| p != child);
+        self.harts[hart].run_queue.remove_all(child);
         for h in 0..self.harts.len() {
             self.post_hart_msg(h, crate::hart::HartMsgKind::ProcReaped { pid: child });
         }
@@ -573,7 +589,8 @@ impl Kernel {
         // single-hart churn reclaims the slot immediately.
         self.procs.quiesce(hart);
         let p = self.procs.get_mut(parent).expect("parent exists");
-        p.children.retain(|&c| c != child);
+        p.children.remove(&child);
+        p.zombies.remove(&child);
         Ok((child, code))
     }
 
@@ -723,10 +740,8 @@ impl Kernel {
                     m.cow = false;
                 }
             }
-            if let Some(users) = self.rmap.get_mut(&old.as_u64()) {
-                users.retain(|&(up, uv)| !(up == pid && uv == vpn));
-            }
-            self.rmap.entry(new.as_u64()).or_default().push((pid, vpn));
+            self.rmap.remove(old.as_u64(), pid, vpn);
+            self.rmap.add(new.as_u64(), pid, vpn);
             self.put_user_page(old)?;
         } else {
             // Sole owner: restore write permission in place.

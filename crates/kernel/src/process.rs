@@ -34,7 +34,7 @@
 //! ptstore-lint rule); everything else synchronises through messages or
 //! locks.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -261,8 +261,12 @@ pub struct Process {
     pub signals: SignalTable,
     /// Exit code once zombie.
     pub exit_code: i32,
-    /// Children pids.
-    pub children: Vec<Pid>,
+    /// Children not yet reaped, in ascending pid order (which is creation
+    /// order: pids are monotonic and never recycled).
+    pub children: BTreeSet<Pid>,
+    /// The subset of `children` that are zombies, awaiting `wait()`.
+    /// Derived state: filled at exit, drained at reap.
+    pub zombies: BTreeSet<Pid>,
     /// For a thread: the pid owning the shared address space (`None` for
     /// the mm owner itself). The thread's PCB carries the *same* page-table
     /// pointer, bound by its own **copied token** (paper §III-C3: "copy the
@@ -774,7 +778,8 @@ mod tests {
             fds: FdTable::with_std(),
             signals: SignalTable::default(),
             exit_code: 0,
-            children: Vec::new(),
+            children: BTreeSet::new(),
+            zombies: BTreeSet::new(),
             mm_owner: None,
             threads: Vec::new(),
         }

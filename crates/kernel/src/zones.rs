@@ -124,11 +124,22 @@ pub struct RangeReservation {
 /// word per summary level. Word counts shrink 64× per level and the top
 /// level is at most 64 words, so every operation is constant-time for any
 /// realistic zone.
+///
+/// Indices are absolute, so a set spans the machine's whole page range
+/// even for a small zone at the top of memory. The bottom level is
+/// therefore kept in 64-word chunks materialised on their first insert: a
+/// boot touches the few chunks its free runs land in instead of zeroing a
+/// full bitmap per order and zone (a quarter MiB per zone on a 4 GiB
+/// machine).
 #[derive(Debug, Clone, Default)]
 struct BlockSet {
-    /// `levels[0]` holds one bit per block index; `levels[k + 1]` holds one
-    /// bit per *word* of `levels[k]` (set iff that word is non-zero).
-    levels: Vec<Vec<u64>>,
+    /// One bit per block index, 4096 indices per chunk; `None` until a
+    /// bit in the chunk is first set.
+    chunks: Vec<Option<Box<[u64; 64]>>>,
+    /// `summary[0]` holds one bit per bottom-level word (its word `c`
+    /// covers chunk `c`); `summary[k + 1]` holds one bit per word of
+    /// `summary[k]`. A bit is set iff the word below it is non-zero.
+    summary: Vec<Vec<u64>>,
     /// Number of set bits.
     len: u64,
 }
@@ -136,58 +147,82 @@ struct BlockSet {
 impl BlockSet {
     /// An empty set able to hold indices `0..indices`.
     fn with_capacity(indices: u64) -> Self {
-        let mut levels = Vec::new();
-        let mut words = indices.div_ceil(64).max(1) as usize;
-        levels.push(vec![0u64; words]);
+        let chunks = indices.div_ceil(64).max(1).div_ceil(64) as usize;
+        let mut summary = vec![vec![0u64; chunks]];
+        let mut words = chunks;
         while words > 64 {
             words = words.div_ceil(64);
-            levels.push(vec![0u64; words]);
+            summary.push(vec![0u64; words]);
         }
-        Self { levels, len: 0 }
+        Self {
+            chunks: vec![None; chunks],
+            summary,
+            len: 0,
+        }
+    }
+
+    /// The bottom-level word holding `idx`, if its chunk exists.
+    fn word(&self, idx: u64) -> Option<u64> {
+        let w = idx / 64;
+        let chunk = self.chunks.get((w / 64) as usize)?.as_ref()?;
+        Some(chunk[(w % 64) as usize])
     }
 
     /// Inserts `idx`; false when it was already present.
     fn insert(&mut self, idx: u64) -> bool {
-        let (w, b) = ((idx / 64) as usize, idx % 64);
-        if self.levels[0][w] >> b & 1 == 1 {
+        let w = idx / 64;
+        let chunk = self.chunks[(w / 64) as usize].get_or_insert_with(|| Box::new([0; 64]));
+        let word = &mut chunk[(w % 64) as usize];
+        if *word >> (idx % 64) & 1 == 1 {
             return false;
         }
-        self.levels[0][w] |= 1 << b;
+        *word |= 1 << (idx % 64);
         self.len += 1;
-        let mut bit = idx;
-        for lvl in 1..self.levels.len() {
+        let mut bit = w;
+        for level in &mut self.summary {
+            level[(bit / 64) as usize] |= 1 << (bit % 64);
             bit /= 64;
-            self.levels[lvl][(bit / 64) as usize] |= 1 << (bit % 64);
         }
         true
     }
 
     /// Removes `idx`; false when it was not present.
     fn remove(&mut self, idx: u64) -> bool {
-        let (w, b) = ((idx / 64) as usize, idx % 64);
-        match self.levels[0].get(w) {
-            Some(word) if word >> b & 1 == 1 => {}
-            _ => return false,
+        let w = idx / 64;
+        let Some(chunk) = self
+            .chunks
+            .get_mut((w / 64) as usize)
+            .and_then(Option::as_mut)
+        else {
+            return false;
+        };
+        let word = &mut chunk[(w % 64) as usize];
+        if *word >> (idx % 64) & 1 == 0 {
+            return false;
         }
-        self.levels[0][w] &= !(1 << b);
+        *word &= !(1 << (idx % 64));
         self.len -= 1;
-        let mut bit = idx;
-        for lvl in 1..self.levels.len() {
-            // Summaries above an emptied word lose their bit; a still
-            // non-empty word leaves every summary unchanged.
-            if self.levels[lvl - 1][(bit / 64) as usize] != 0 {
+        if *word != 0 {
+            return true;
+        }
+        // Summaries above an emptied word lose their bit; a still
+        // non-empty word leaves every summary above it unchanged.
+        let mut bit = w;
+        for level in &mut self.summary {
+            let above = &mut level[(bit / 64) as usize];
+            *above &= !(1 << (bit % 64));
+            if *above != 0 {
                 break;
             }
             bit /= 64;
-            self.levels[lvl][(bit / 64) as usize] &= !(1 << (bit % 64));
         }
         true
     }
 
     /// True when `idx` is present.
     fn contains(&self, idx: u64) -> bool {
-        let (w, b) = ((idx / 64) as usize, idx % 64);
-        matches!(self.levels[0].get(w), Some(word) if word >> b & 1 == 1)
+        self.word(idx)
+            .is_some_and(|word| word >> (idx % 64) & 1 == 1)
     }
 
     /// The lowest present index: scan the (≤ 64-word) top level, then
@@ -196,29 +231,41 @@ impl BlockSet {
         if self.len == 0 {
             return None;
         }
-        let top = self.levels.len() - 1;
-        let w = self.levels[top].iter().position(|&x| x != 0)?;
-        let mut bit = w as u64 * 64 + self.levels[top][w].trailing_zeros() as u64;
-        for lvl in (0..top).rev() {
-            let word = self.levels[lvl][bit as usize];
+        let top = self.summary.len() - 1;
+        let w = self.summary[top].iter().position(|&x| x != 0)?;
+        let mut bit = w as u64 * 64 + self.summary[top][w].trailing_zeros() as u64;
+        for level in self.summary[..top].iter().rev() {
+            let word = level[bit as usize];
             debug_assert_ne!(word, 0, "summary bit over an empty word");
             bit = bit * 64 + word.trailing_zeros() as u64;
         }
-        Some(bit)
+        let word = self
+            .word(bit * 64)
+            .expect("summary bit over an absent chunk");
+        debug_assert_ne!(word, 0, "summary bit over an empty word");
+        Some(bit * 64 + word.trailing_zeros() as u64)
     }
 
     /// Every present index in ascending order (invariant checking and
-    /// canonical-state digests). Zero words — the overwhelming majority in
-    /// a mostly-coalesced zone — are skipped wholesale.
+    /// canonical-state digests). Absent chunks and zero words — the
+    /// overwhelming majority in a mostly-coalesced zone — are skipped
+    /// wholesale.
     fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.levels[0]
+        self.chunks
             .iter()
             .enumerate()
-            .filter(|&(_, &word)| word != 0)
-            .flat_map(|(w, &word)| {
-                (0..64)
-                    .filter(move |b| word >> b & 1 == 1)
-                    .map(move |b| w as u64 * 64 + b)
+            .filter_map(|(c, chunk)| chunk.as_ref().map(|chunk| (c as u64 * 64, chunk)))
+            .flat_map(|(w0, chunk)| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &word)| word != 0)
+                    .flat_map(move |(i, &word)| {
+                        let base = (w0 + i as u64) * 64;
+                        (0..64)
+                            .filter(move |b| word >> b & 1 == 1)
+                            .map(move |b| base + b)
+                    })
             })
     }
 }
@@ -1104,5 +1151,31 @@ mod tests {
         assert!(s.remove(77_777));
         assert_eq!(s.first(), None);
         assert_eq!(s.len, 0);
+    }
+
+    #[test]
+    fn block_set_matches_btreeset_across_summary_levels() {
+        // 2^24 indices: 4096 chunks, so two summary levels above the
+        // chunked bottom level. Indices cluster (sharing words and chunks)
+        // and scatter (leaving most chunks unmaterialised).
+        let cap = 1u64 << 24;
+        let mut s = BlockSet::with_capacity(cap);
+        let mut model = std::collections::BTreeSet::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let idx = if step % 3 == 0 { x % 300 } else { x % cap };
+            if x >> 63 == 0 {
+                assert_eq!(s.insert(idx), model.insert(idx));
+            } else {
+                assert_eq!(s.remove(idx), model.remove(&idx));
+            }
+            assert_eq!(s.contains(idx), model.contains(&idx));
+            assert_eq!(s.first(), model.first().copied());
+        }
+        assert_eq!(s.len, model.len() as u64);
+        assert!(s.iter().eq(model.iter().copied()));
     }
 }

@@ -10,6 +10,8 @@
 //! host scheduler produces must show each handle either its original pid
 //! or nothing.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use ptstore_core::PhysAddr;
 use ptstore_kernel::pagetable::AddressSpace;
@@ -29,7 +31,8 @@ fn proc(pid: Pid) -> Process {
         fds: FdTable::with_std(),
         signals: SignalTable::default(),
         exit_code: 0,
-        children: Vec::new(),
+        children: BTreeSet::new(),
+        zombies: BTreeSet::new(),
         mm_owner: None,
         threads: Vec::new(),
     }

@@ -121,7 +121,7 @@ pub fn encode(k: &Kernel) -> String {
             p.mmap_cursor,
             p.mm_owner,
             p.threads,
-            p.children,
+            p.children.iter().collect::<Vec<_>>(),
             p.vmas
         );
         let _ = writeln!(out, "  user={:?}", p.aspace.user);

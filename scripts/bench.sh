@@ -6,10 +6,12 @@
 # batched row per policy; c1m runs only when named explicitly, so `all`
 # stays the same work as the pre-c1m baseline binary and the suite
 # comparison is like-for-like). The quick shape is timed alongside the
-# CI-budgeted --medium trajectory shape (150x8x50), giving BENCH_PR9.json
+# CI-budgeted --medium trajectory shape (150x8x50), giving the artifact
 # a connections-per-host-second trajectory toward the paper's
-# one-million-connection run. Results land in BENCH_PR9.json at the repo
-# root. Modeled cycles are pinned elsewhere (the differential tests and
+# one-million-connection run. Results land in target/bench-local.json, or
+# in $BENCH_OUT when set: a run records whichever host it ran on, so
+# committing it as a BENCH_PR<N>.json artifact is a deliberate step, not a
+# side effect of a check. Modeled cycles are pinned elsewhere (the differential tests and
 # the check.sh cmp gate); this script measures wall-clock only. The c1m
 # report prints no wall time by design (check.sh cmp-gates its reruns),
 # so its throughput in connections per host second is computed here,
@@ -21,13 +23,13 @@
 # one measurement loop and take each side's minimum — timing them in
 # separate phases lets host drift masquerade as a code delta.
 #
-# Usage: scripts/bench.sh [jobs]   (default jobs: nproc)
+# Usage: [BENCH_OUT=path] scripts/bench.sh [jobs]   (default jobs: nproc)
 set -eu
 
 cd "$(dirname "$0")/.."
 
 JOBS="${1:-$( (nproc || sysctl -n hw.ncpu || echo 2) 2>/dev/null )}"
-OUT="BENCH_PR9.json"
+OUT="${BENCH_OUT:-target/bench-local.json}"
 BIN="target/release/reproduce"
 # Rounds per timing loop; min-of-N on both binaries. Override with
 # BENCH_ROUNDS when the container is jittery and the minimum needs more
@@ -36,6 +38,7 @@ ROUNDS="${BENCH_ROUNDS:-8}"
 
 echo "== build (release) =="
 cargo build --offline --release --quiet -p ptstore-bench --bin reproduce
+mkdir -p "$(dirname "$OUT")"
 
 # Milliseconds since epoch; /usr/bin/time is not in the container.
 now_ms() {

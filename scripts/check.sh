@@ -131,6 +131,11 @@ grep -q "attack:pte-flip" target/mc-abl.txt
 grep -q "PtPageOutsideRegion" target/mc-abl.txt
 rm -f target/mc-abl.txt
 
+echo "== perfbench: fidelity test and small-shape goldens =="
+# The benchmark's traced twins re-issue the workloads call by call; a
+# kernel change that breaks them fails here, not only in the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench_history: BENCH_PR*.json trajectory collation =="
 # The collator depends only on the committed artifacts, so two runs are
 # byte-identical and the table must reach the newest artifact.
@@ -143,12 +148,13 @@ if command -v python3 > /dev/null 2>&1; then
     scripts/bench_history.sh --json | python3 -m json.tool > /dev/null
 fi
 
-echo "== host-performance harness (BENCH_PR9.json) =="
-# Jobs pinned to 4 so CI regenerates the same configuration the
-# committed artifact records (the pool clamps to the host's cores).
-scripts/bench.sh 4
+echo "== host-performance harness (target/bench-local.json) =="
+# Jobs pinned to 4 so the run matches the configuration the committed
+# BENCH_PR*.json artifacts record (the pool clamps to the host's cores).
+# The output stays under target/: no committed artifact is rewritten.
+BENCH_OUT=target/bench-local.json scripts/bench.sh 4
 if command -v python3 > /dev/null 2>&1; then
-    python3 -m json.tool BENCH_PR9.json > /dev/null
+    python3 -m json.tool target/bench-local.json > /dev/null
 fi
 
 echo "All checks passed."

@@ -1,7 +1,7 @@
 //! End-to-end process lifecycle under PTStore: deep fork trees, exec chains,
 //! pipes across forks, CoW integrity, and token hygiene throughout.
 
-use ptstore::kernel::{Kernel, KernelConfig};
+use ptstore::kernel::{Kernel, KernelConfig, KernelError, ProcState};
 use ptstore::prelude::*;
 
 fn boot() -> Kernel {
@@ -130,4 +130,83 @@ fn secure_region_contains_every_pt_page_always() {
             );
         }
     }
+}
+
+/// Exits the live child `pid` (switching to it first) and returns to init.
+fn exit_child(k: &mut Kernel, pid: u32, code: i32) {
+    k.do_switch_to(pid).expect("switch to child");
+    k.sys_exit(code).expect("exit");
+    k.do_switch_to(1).expect("back to init");
+}
+
+#[test]
+fn wait_reaps_lowest_pid_zombie_first_and_skips_live_siblings() {
+    let mut k = boot();
+    let kids: Vec<u32> = (0..4).map(|_| k.sys_fork().expect("fork")).collect();
+    exit_child(&mut k, kids[3], 13);
+    exit_child(&mut k, kids[1], 11);
+    // kids[0] and kids[2] are alive and older than the zombies they sit
+    // between.
+    assert_eq!(k.sys_wait().expect("wait"), (kids[1], 11));
+    assert_eq!(k.sys_wait().expect("wait"), (kids[3], 13));
+    assert_eq!(k.sys_wait(), Err(KernelError::InvalidState));
+    exit_child(&mut k, kids[2], 12);
+    exit_child(&mut k, kids[0], 10);
+    assert_eq!(k.sys_wait().expect("wait"), (kids[0], 10));
+    assert_eq!(k.sys_wait().expect("wait"), (kids[2], 12));
+    assert_eq!(k.procs.len(), 1);
+}
+
+#[test]
+fn wait_without_a_zombie_child_is_invalid_state() {
+    let mut k = boot();
+    // No children at all.
+    assert_eq!(k.sys_wait(), Err(KernelError::InvalidState));
+    // Only live children.
+    let child = k.sys_fork().expect("fork");
+    assert_eq!(k.sys_wait(), Err(KernelError::InvalidState));
+    assert!(k.procs.get(child).is_some());
+}
+
+#[test]
+fn exited_thread_is_reaped_through_wait() {
+    let mut k = boot();
+    let tid = k.sys_clone_thread().expect("clone thread");
+    exit_child(&mut k, tid, 5);
+    assert_eq!(k.sys_wait().expect("wait"), (tid, 5));
+    assert!(k.procs.get(tid).is_none());
+    assert!(k.procs.get(1).expect("init").threads.is_empty());
+}
+
+#[test]
+fn orphan_exit_after_parent_reaped_does_not_panic() {
+    let mut k = boot();
+    let parent = k.sys_fork().expect("fork parent");
+    k.do_switch_to(parent).expect("switch to parent");
+    let orphan = k.sys_fork().expect("fork orphan");
+    // The parent exits with its child still alive, and init reaps it.
+    k.sys_exit(1).expect("parent exit");
+    k.do_switch_to(1).expect("back to init");
+    assert_eq!(k.sys_wait().expect("wait"), (parent, 1));
+    // The orphan exits with no parent left to file it with.
+    exit_child(&mut k, orphan, 2);
+    assert_eq!(
+        k.procs.get(orphan).map(|p| p.state),
+        Some(ProcState::Zombie)
+    );
+    assert_eq!(k.sys_wait(), Err(KernelError::InvalidState));
+}
+
+#[test]
+fn zombie_switched_back_to_is_not_waitable_until_it_exits_again() {
+    // Without token checks nothing stops a switch to an exited process:
+    // it runs again, so `wait` must pass it over until it exits again.
+    let mut k = Kernel::boot(KernelConfig::baseline().with_mem_size(256 * MIB)).expect("boot");
+    let child = k.sys_fork().expect("fork");
+    exit_child(&mut k, child, 3);
+    k.do_switch_to(child).expect("switch to the zombie");
+    k.do_switch_to(1).expect("back to init");
+    assert_eq!(k.sys_wait(), Err(KernelError::InvalidState));
+    exit_child(&mut k, child, 4);
+    assert_eq!(k.sys_wait().expect("wait"), (child, 4));
 }
