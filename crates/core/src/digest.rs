@@ -83,6 +83,16 @@ impl Fnv1a {
     }
 }
 
+/// Formatted text folds straight into the hash, byte for byte: writing a
+/// rendering with `write!` digests to the same value as hashing the
+/// rendered `String`, without building it.
+impl core::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> core::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,5 +125,13 @@ mod tests {
         h.write(b"hello ");
         h.write(b"world");
         assert_eq!(h.finish(), Fnv1a::hash_bytes(b"hello world"));
+    }
+
+    #[test]
+    fn formatted_writes_fold_like_the_rendered_string() {
+        use core::fmt::Write;
+        let mut h = Fnv1a::new();
+        writeln!(h, "hart {} satp={:#x}", 1, 0x8000).unwrap();
+        assert_eq!(h.finish(), Fnv1a::hash_bytes(b"hart 1 satp=0x8000\n"));
     }
 }

@@ -42,7 +42,7 @@
 use std::collections::BTreeSet;
 
 use ptstore_core::{PhysAddr, PhysPageNum, SecureRegion, TokenError};
-use ptstore_kernel::{Kernel, Pid, ProcState, TableReader};
+use ptstore_kernel::{Kernel, Pid, TableReader};
 use ptstore_mmu::{Pte, Tlb};
 use ptstore_trace::TraceEvent;
 
@@ -195,7 +195,8 @@ impl Invariants {
     pub fn check(k: &Kernel) -> InvariantReport {
         let mut rep = InvariantReport::default();
         let region = k.secure_region();
-        let known = known_pt_pages(k);
+        // Every page-table page the kernel's bookkeeping claims exists.
+        let known = k.live_pt_pages();
 
         if k.cfg.defense.is_ptstore() {
             if let Some(region) = region {
@@ -218,26 +219,6 @@ impl Invariants {
     }
 }
 
-/// Every page-table page the kernel's bookkeeping claims exists: the
-/// kernel template plus each mm owner's root and tracked table pages.
-/// Walks the generational slot array through handles (pid order) so a
-/// slot whose generation moved on mid-sweep is skipped, never misread.
-fn known_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
-    let mut known: BTreeSet<PhysPageNum> = BTreeSet::new();
-    known.insert(k.kernel_root());
-    known.extend(k.kernel_pt_pages().iter().copied());
-    for (_, p) in k.procs.handles() {
-        // Threads (mm_owner = Some) share their owner's tables. Zombies
-        // freed their tables at exit: the stale `root` field may alias a
-        // page since reallocated to another address space.
-        if p.mm_owner.is_none() && p.state != ProcState::Zombie {
-            known.insert(p.aspace.root);
-            known.extend(p.aspace.pt_pages.iter().copied());
-        }
-    }
-    known
-}
-
 /// Invariant 1: containment. Tracked pages live in the region; walking
 /// from every root reaches only tracked, in-region tables; user leaves
 /// never map region storage.
@@ -256,28 +237,24 @@ fn check_containment(
     // Zombie roots are stale (freed at exit) and must not be walked: the
     // page may have been reallocated as a *lower-level* table of another
     // address space, which would be misread at root level here.
-    let roots: Vec<PhysPageNum> = core::iter::once(k.kernel_root())
-        .chain(
-            k.procs
-                .handles()
-                .filter(|(_, p)| p.mm_owner.is_none() && p.state != ProcState::Zombie)
-                .map(|(_, p)| p.aspace.root),
-        )
+    let root_level = k.cfg.scheme.root_level() as u8;
+    let mut stack: Vec<(PhysPageNum, u8)> = core::iter::once(k.kernel_root())
+        .chain(k.live_address_spaces().map(|a| a.root))
+        .map(|r| (r, root_level))
         .collect();
     let mut visited: BTreeSet<PhysPageNum> = BTreeSet::new();
-    let root_level = k.cfg.scheme.root_level() as u8;
-    let mut stack: Vec<(PhysPageNum, u8)> = roots.into_iter().map(|r| (r, root_level)).collect();
     while let Some((page, level)) = stack.pop() {
         if !visited.insert(page) {
             continue;
         }
-        let base = page.base_addr();
-        for i in 0..512u64 {
-            let Ok(raw) = k.bus.mem().read_u64(base + i * 8) else {
-                rep.violations
-                    .push(Violation::UnreadablePtPage { ppn: page });
-                break;
-            };
+        // Only non-zero words can be valid PTEs, so walking the page's
+        // live words visits every valid entry in slot order.
+        let Ok(words) = k.bus.mem().page_nonzero_words(page) else {
+            rep.violations
+                .push(Violation::UnreadablePtPage { ppn: page });
+            continue;
+        };
+        for (_, raw) in words {
             let pte = Pte::from_bits(raw);
             if !pte.is_valid() {
                 continue;
@@ -483,12 +460,8 @@ fn check_tlb_staleness(k: &Kernel, rep: &mut InvariantReport) {
     // Post-rollover ASIDs can collide across live address spaces, so an
     // entry is judged against *every* live space carrying its ASID and
     // accepted when any of them backs it.
-    let spaces: Vec<(u16, PhysPageNum)> = k
-        .procs
-        .handles()
-        .filter(|(_, p)| p.mm_owner.is_none() && p.state != ProcState::Zombie)
-        .map(|(_, p)| (p.aspace.asid, p.aspace.root))
-        .collect();
+    let spaces: Vec<(u16, PhysPageNum)> =
+        k.live_address_spaces().map(|a| (a.asid, a.root)).collect();
     let pending = k.queued_flush_pairs();
     let root_level = k.cfg.scheme.root_level() as u8;
     for hart in &k.harts {

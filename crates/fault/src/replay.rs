@@ -1,10 +1,10 @@
 //! Deterministic op-sequence replay: the model checker's transition relation.
 //!
-//! The bounded model checker (`ptstore-modelcheck`) cannot clone a
-//! [`Kernel`], so it represents every frontier state as the op sequence that
-//! reaches it and re-executes that sequence from a fresh boot whenever it
-//! expands the state. This module owns the pieces that make such replay
-//! meaningful:
+//! The bounded model checker (`ptstore-modelcheck`) represents every
+//! frontier state as the op sequence that reaches it, re-executes that
+//! sequence from a fresh boot once when it expands the state, and branches
+//! the successors off clones of the result. This module owns the pieces
+//! that make such replay meaningful:
 //!
 //! * [`ModelOp`] — a small, fully deterministic operation alphabet: the
 //!   kernel ops the paper's mechanism must survive (fork/exit churn,

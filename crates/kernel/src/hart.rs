@@ -77,7 +77,7 @@ pub struct HartMsg {
 /// Hart 0 is the boot hart; a machine configured with one hart reproduces
 /// the original single-hart prototype cycle-for-cycle (no IPI or
 /// shootdown costs are ever charged at `harts == 1`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Hart {
     /// Hart id (0-based).
     pub id: usize,

@@ -5,7 +5,7 @@
 //! This file is the software half of the co-design (paper §IV-B/§IV-C); the
 //! hardware half lives in `ptstore-core`/`ptstore-mem`/`ptstore-mmu`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use ptstore_core::{
     AccessContext, Channel, PhysAddr, PhysPageNum, SecureRegion, Token, TokenError, VirtAddr, MIB,
@@ -22,8 +22,8 @@ use crate::cycles::{cost, CostKind, CycleCounter};
 use crate::error::KernelError;
 use crate::fs::{PipeTable, RamFs};
 use crate::hart::{Hart, HartMsg, HartMsgKind};
-use crate::pagetable::{direct_map_va, pte_slot, DIRECT_MAP_BASE, HUGE_PAGE_SPAN};
-use crate::process::{Pid, Process, ProcessTable};
+use crate::pagetable::{direct_map_va, pte_slot, AddressSpace, DIRECT_MAP_BASE, HUGE_PAGE_SPAN};
+use crate::process::{Pid, ProcState, Process, ProcessTable};
 use crate::rmap::Rmap;
 use crate::sbi::{SbiCall, SbiFirmware, SbiResult};
 use crate::slab::SlabCache;
@@ -125,6 +125,59 @@ pub struct Kernel {
     /// after any security-relevant boundary the active hart's flush queue is
     /// empty and this generation has advanced past every queued page.
     pub(crate) flush_generation: u64,
+}
+
+impl Clone for Kernel {
+    /// A deep, independent copy of the whole machine — memory, PMP, harts,
+    /// process table (with its own lock-free metadata, see
+    /// [`ProcessTable`]'s `Clone`), allocators and fault hooks — that then
+    /// evolves on its own. The clone starts with **no trace sink** on any
+    /// layer: a sink is a shared buffer, and a branch writing into the
+    /// original's stream would interleave two machines' events. Used by the
+    /// model checker to branch one frontier state into its successors.
+    fn clone(&self) -> Self {
+        // Every field is listed (no `..`): a new field fails to compile
+        // here until it is given a clone rule.
+        let mut k = Kernel {
+            cfg: self.cfg,
+            bus: self.bus.clone(),
+            harts: self.harts.clone(),
+            active_hart: self.active_hart,
+            cycles: self.cycles.clone(),
+            stats: self.stats,
+            fs: self.fs.clone(),
+            normal_zone: self.normal_zone.clone(),
+            pt_zone: self.pt_zone.clone(),
+            secure_region: self.secure_region,
+            sbi: self.sbi.clone(),
+            pcb_slab: self.pcb_slab.clone(),
+            token_slab: self.token_slab.clone(),
+            procs: self.procs.clone(),
+            next_pid: self.next_pid,
+            next_asid: self.next_asid,
+            kernel_root: self.kernel_root,
+            kernel_pt_pages: self.kernel_pt_pages.clone(),
+            shared_text_ppn: self.shared_text_ppn,
+            page_refs: self.page_refs.clone(),
+            rmap: self.rmap.clone(),
+            pipes: self.pipes.clone(),
+            sockets: self.sockets.clone(),
+            next_socket: self.next_socket,
+            pt_rand_offset: self.pt_rand_offset,
+            injected_overlap: self.injected_overlap,
+            ipi_fault: self.ipi_fault,
+            drain_fault: self.drain_fault,
+            asid_wrapped: self.asid_wrapped,
+            drained_pt_pages: self.drained_pt_pages.clone(),
+            security_log: self.security_log.clone(),
+            ptw_check_armed: self.ptw_check_armed,
+            trace: None,
+            syscall_mark: self.syscall_mark,
+            flush_generation: self.flush_generation,
+        };
+        k.set_trace_sink(None);
+        k
+    }
 }
 
 /// Kernel virtual address where the PT-Rand secret offset global lives
@@ -1787,6 +1840,34 @@ impl Kernel {
     /// root included (invariant-oracle accessor).
     pub fn kernel_pt_pages(&self) -> &[PhysPageNum] {
         &self.kernel_pt_pages
+    }
+
+    /// The live address spaces, in pid order: one per process that owns
+    /// its tables and has not exited. Threads (`mm_owner = Some`) share
+    /// their owner's tables; zombies freed theirs at exit, so a zombie's
+    /// stale `root` may alias a page since reallocated to another address
+    /// space and must never be walked or counted.
+    pub fn live_address_spaces(&self) -> impl Iterator<Item = &AddressSpace> {
+        self.procs
+            .iter()
+            .filter(|p| p.mm_owner.is_none() && p.state != ProcState::Zombie)
+            .map(|p| &p.aspace)
+    }
+
+    /// Every page-table page the machine can currently reach: the kernel
+    /// template (root included) plus the root and tracked table pages of
+    /// each [live address space](Self::live_address_spaces). The invariant
+    /// oracle's containment walk and the model checker's canonical
+    /// encoding both cover exactly this set.
+    pub fn live_pt_pages(&self) -> BTreeSet<PhysPageNum> {
+        let mut pages: BTreeSet<PhysPageNum> = BTreeSet::new();
+        pages.insert(self.kernel_root);
+        pages.extend(self.kernel_pt_pages.iter().copied());
+        for a in self.live_address_spaces() {
+            pages.insert(a.root);
+            pages.extend(a.pt_pages.iter().copied());
+        }
+        pages
     }
 
     /// Issues one SBI call against this machine's firmware and PMP, paying

@@ -15,7 +15,7 @@ use crate::process::Pid;
 pub(crate) type Sharers = LazyQueue<(Pid, u64)>;
 
 /// Page number → its sharers. A page whose last sharer left has no entry.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Rmap(HashMap<u64, Sharers>);
 
 impl Rmap {

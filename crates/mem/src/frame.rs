@@ -167,18 +167,16 @@ impl Frame {
         *self = Frame::Zero;
     }
 
-    /// FNV-1a digest of the frame's contents: the `(index, value)` pairs of
-    /// every **non-zero** word, folded in ascending index order — therefore
-    /// identical for equal contents regardless of which backing
-    /// representation (zero / sparse / dense) holds them, and proportional
-    /// to the live words rather than the page size for sparse frames. The
-    /// model checker's canonical state hash folds every reachable
-    /// page-table page through this instead of 512 bounds-checked bus
-    /// reads.
-    pub fn content_digest(&self) -> u64 {
-        let mut f = Fnv1a::new();
+    /// The frame's live words: the `(index, value)` pair of every
+    /// **non-zero** 8-byte word, in ascending index order. A zero word
+    /// carries nothing a page-table walk or a content hash needs (a zero
+    /// PTE is invalid), so this is the one definition of "the page's
+    /// contents" that both [`Self::content_digest`] and the invariant
+    /// oracle's page-table walk iterate. Cost is proportional to the live
+    /// words for sparse frames, not to the page size.
+    pub fn nonzero_words(&self) -> Vec<(u16, u64)> {
         match self {
-            Frame::Zero => {}
+            Frame::Zero => Vec::new(),
             Frame::Words(map) => {
                 let mut words: Vec<(u16, u64)> = map
                     .iter()
@@ -186,20 +184,31 @@ impl Frame {
                     .map(|(&i, &v)| (i, v))
                     .collect();
                 words.sort_unstable();
-                for (i, v) in words {
-                    f.write_u64(u64::from(i));
-                    f.write_u64(v);
-                }
+                words
             }
-            Frame::Dense(bytes) => {
-                for (i, chunk) in bytes.chunks_exact(8).enumerate() {
+            Frame::Dense(bytes) => bytes
+                .chunks_exact(8)
+                .enumerate()
+                .map(|(i, chunk)| {
                     let v = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                    if v != 0 {
-                        f.write_u64(i as u64);
-                        f.write_u64(v);
-                    }
-                }
-            }
+                    (i as u16, v)
+                })
+                .filter(|&(_, v)| v != 0)
+                .collect(),
+        }
+    }
+
+    /// FNV-1a digest of the frame's contents: [`Self::nonzero_words`]
+    /// folded pair by pair — therefore identical for equal contents
+    /// regardless of which backing representation (zero / sparse / dense)
+    /// holds them. The model checker's canonical state hash folds every
+    /// reachable page-table page through this instead of 512
+    /// bounds-checked bus reads.
+    pub fn content_digest(&self) -> u64 {
+        let mut f = Fnv1a::new();
+        for (i, v) in self.nonzero_words() {
+            f.write_u64(u64::from(i));
+            f.write_u64(v);
         }
         f.finish()
     }

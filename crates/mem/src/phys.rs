@@ -276,6 +276,21 @@ impl PhysMem {
             .unwrap_or_else(crate::frame::zero_page_digest))
     }
 
+    /// The non-zero `(word index, word)` pairs of page `ppn` in ascending
+    /// index order, per [`Frame::nonzero_words`] — the sparse equivalent of
+    /// `(0..512).map(read_u64).filter(|w| w != 0)` with one frame lookup.
+    /// The invariant oracle walks page-table pages through this.
+    ///
+    /// # Errors
+    /// [`AccessError::OutOfRange`] when `ppn` is outside physical memory.
+    pub fn page_nonzero_words(&self, ppn: PhysPageNum) -> Result<Vec<(u16, u64)>, AccessError> {
+        self.check_range(ppn.base_addr(), PAGE_SIZE)?;
+        Ok(self
+            .frame(ppn.as_u64())
+            .map(Frame::nonzero_words)
+            .unwrap_or_default())
+    }
+
     /// True when the whole page is zero — the kernel's allocator-metadata
     /// defense checks this before using a page as a page table (paper §V-E3).
     #[inline]

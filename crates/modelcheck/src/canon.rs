@@ -33,12 +33,11 @@
 //! only in *which* entry a future eviction drops; the invariant oracle's
 //! verdict depends on the entry set alone, never on the victim choice.
 
-use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
-use ptstore_core::{Fnv1a, PhysPageNum};
+use ptstore_core::Fnv1a;
 use ptstore_fault::ModelOp;
-use ptstore_kernel::{Kernel, ProcState};
+use ptstore_kernel::Kernel;
 
 /// Renders `k` into its canonical text encoding.
 ///
@@ -48,32 +47,49 @@ use ptstore_kernel::{Kernel, ProcState};
 /// cannot collide by concatenation.
 pub fn encode(k: &Kernel) -> String {
     let mut out = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write_encoding(k, &mut out);
+    out
+}
 
+/// FNV-1a digest of [`encode`], streamed: the encoding is written straight
+/// into the hasher, byte for byte, so no intermediate string is built and
+/// the value equals `Fnv1a::hash_bytes(encode(k).as_bytes())`. BFS dedups
+/// on this; the injectivity property test drives sampled op corpora through
+/// both and checks that equal digests imply equal encodings.
+pub fn digest(k: &Kernel) -> u64 {
+    let mut h = Fnv1a::new();
+    // Folding into the hasher cannot fail.
+    let _ = write_encoding(k, &mut h);
+    h.finish()
+}
+
+/// Writes the canonical encoding of `k` into `out` — the one definition
+/// behind both [`encode`] and [`digest`].
+fn write_encoding(k: &Kernel, out: &mut impl Write) -> fmt::Result {
     match k.secure_region() {
-        Some(r) => {
-            let _ = writeln!(
-                out,
-                "region base={:#x} size={:#x}",
-                r.base().as_u64(),
-                r.size()
-            );
-        }
-        None => out.push_str("region none\n"),
+        Some(r) => writeln!(
+            out,
+            "region base={:#x} size={:#x}",
+            r.base().as_u64(),
+            r.size()
+        )?,
+        None => out.write_str("region none\n")?,
     }
     let pmp = k.bus.pmp();
-    let _ = writeln!(
+    writeln!(
         out,
         "pmp enforce={} {:?}",
         pmp.secure_enforcement(),
         pmp.entries()
-    );
-    let _ = writeln!(
+    )?;
+    writeln!(
         out,
         "alloc next_pid={} next_asid={} asid_wrapped={}",
         k.next_pid(),
         k.next_asid(),
         k.asid_rollover_happened()
-    );
+    )?;
 
     for h in &k.harts {
         let mbox: Vec<(usize, String)> = h
@@ -81,11 +97,11 @@ pub fn encode(k: &Kernel) -> String {
             .iter()
             .map(|m| (m.from, format!("{:?}", m.kind)))
             .collect();
-        let _ = writeln!(
+        writeln!(
             out,
             "hart {} current={} satp={:?} rq={:?} flushq={:?} mag={:?} mbox={:?}",
             h.id, h.current, h.mmu.satp, h.run_queue, h.flush_queue, h.pt_magazine, mbox
-        );
+        )?;
         let mut tlb: Vec<String> = h
             .mmu
             .itlb()
@@ -100,14 +116,13 @@ pub fn encode(k: &Kernel) -> String {
             .collect();
         tlb.sort();
         for line in tlb {
-            out.push_str(&line);
-            out.push('\n');
+            writeln!(out, "{line}")?;
         }
     }
 
     let mem = k.bus.mem();
     for (_, p) in k.procs.handles() {
-        let _ = writeln!(
+        writeln!(
             out,
             "proc {} parent={:?} state={:?} root={:?} asid={} ptpages={:?} brk={:#x} \
              cursor={:#x} mm_owner={:?} threads={:?} kids={:?} vmas={:?}",
@@ -123,8 +138,8 @@ pub fn encode(k: &Kernel) -> String {
             p.threads,
             p.children.iter().collect::<Vec<_>>(),
             p.vmas
-        );
-        let _ = writeln!(out, "  user={:?}", p.aspace.user);
+        )?;
+        writeln!(out, "  user={:?}", p.aspace.user)?;
         // The attacker-writable credential words, raw from DRAM: the PCB
         // page-table pointer, the token pointer, and — when the token
         // pointer is in-bounds — the two token fields it designates.
@@ -134,51 +149,28 @@ pub fn encode(k: &Kernel) -> String {
             let a = ptstore_core::PhysAddr::new(t);
             Some((mem.read_u64(a).ok()?, mem.read_u64(a + 8).ok()?))
         });
-        let _ = writeln!(
+        writeln!(
             out,
             "  pcbraw pt={pt_raw:?} tok={tok_ptr:?} tokwords={tok_words:?}"
-        );
+        )?;
     }
 
-    for ppn in reachable_pt_pages(k) {
-        let _ = writeln!(
+    // Every reachable page-table page — the same set the invariant oracle's
+    // containment walk covers, so a landed PTE flip always lands in a
+    // hashed page.
+    for ppn in k.live_pt_pages() {
+        writeln!(
             out,
             "ptpage {:?} {:016x}",
             ppn,
             mem.page_digest(ppn).unwrap_or(u64::MAX)
-        );
+        )?;
     }
 
     for (zone, order, ppn) in k.zone_free_blocks() {
-        let _ = writeln!(out, "zone {zone} o={order} {ppn:?}");
+        writeln!(out, "zone {zone} o={order} {ppn:?}")?;
     }
-    let _ = writeln!(out, "slab {:x?}", k.slab_canon_words());
-
-    out
-}
-
-/// Every page-table page the machine can currently reach: the kernel
-/// template (root included) plus root and interior pages of each live
-/// address space — the same page set the invariant oracle's containment
-/// walk covers, so a landed PTE flip always lands in a hashed page.
-fn reachable_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
-    let mut pages: BTreeSet<PhysPageNum> = BTreeSet::new();
-    pages.insert(k.kernel_root());
-    pages.extend(k.kernel_pt_pages().iter().copied());
-    for (_, p) in k.procs.handles() {
-        if p.mm_owner.is_none() && p.state != ProcState::Zombie {
-            pages.insert(p.aspace.root);
-            pages.extend(p.aspace.pt_pages.iter().copied());
-        }
-    }
-    pages
-}
-
-/// FNV-1a digest of [`encode`]. BFS dedups on this; the injectivity
-/// property test drives sampled op corpora through both and checks that
-/// equal digests imply equal encodings.
-pub fn digest(k: &Kernel) -> u64 {
-    Fnv1a::hash_bytes(encode(k).as_bytes())
+    writeln!(out, "slab {:x?}", k.slab_canon_words())
 }
 
 /// Digest of a state reached by replaying `trace` — convenience for tests.

@@ -1,17 +1,25 @@
 //! Bounded breadth-first exploration of the miniature machine.
 //!
-//! The kernel is deliberately not cloneable (its determinism story leans on
-//! that), so a frontier state is represented by the op sequence that reaches
-//! it and re-executed from a fresh [`boot_model`] whenever it is expanded —
-//! the replay discipline of [`ptstore_fault::replay()`]. BFS guarantees that
-//! the first violating state found is reached by a *minimal-length* trace:
-//! any shorter violating trace would have been expanded at an earlier level.
+//! A frontier state is represented by the op sequence that reaches it. To
+//! expand a state, the search rebuilds it **once** by replaying that trace
+//! from a fresh [`boot_model`] (the replay discipline of
+//! [`ptstore_fault::replay()`]), then branches every successor off a deep
+//! [`Clone`] of the rebuilt machine: clone, apply one op, run the oracle,
+//! hash. One boot and one replay are thus shared by the whole alphabet
+//! instead of paid per edge. Keeping frontier states as traces (not as
+//! kernels) bounds memory to one parent and one child per worker, and a
+//! kernel (which is `!Sync`) never crosses threads: each worker rebuilds
+//! its own parents. BFS
+//! guarantees that the first violating state found is reached by a
+//! *minimal-length* trace: any shorter violating trace would have been
+//! expanded at an earlier level.
 //!
 //! ## Determinism
 //!
 //! Expansion of one level fans out across host threads in contiguous
-//! chunks, and results are merged **in submission order** — the same total
-//! order a single-threaded run produces. Dedup inserts digests in that
+//! chunks of frontier states, and results are merged **in submission
+//! order** — state by state, op by op within a state: the same total order
+//! a single-threaded run produces. Dedup inserts digests in that
 //! order, the exploration digest folds them in that order, and the first
 //! violation in that order wins. Reports are therefore byte-identical for
 //! every `--jobs` value, which `scripts/check.sh` enforces with a literal
@@ -386,6 +394,28 @@ struct Expansion {
     violations: Vec<String>,
 }
 
+/// Expands one frontier state: rebuilds it once by replaying `trace` from
+/// a fresh boot, then derives each successor, in alphabet order, from a
+/// deep clone of that parent — apply the op, run the invariant oracle, hash
+/// the canonical state. The clone carries no trace sink and shares no
+/// state with the parent, so each successor equals a fresh replay of
+/// `trace + [op]` (pinned by the clone-vs-replay tests).
+fn expand(kcfg: &KernelConfig, alphabet: &[ModelOp], trace: &[ModelOp]) -> Vec<Expansion> {
+    let parent = replay(kcfg, trace);
+    alphabet
+        .iter()
+        .map(|&op| {
+            let mut k = parent.clone();
+            apply(&mut k, op);
+            let rep = Invariants::check(&k);
+            Expansion {
+                digest: canon::digest(&k),
+                violations: rep.violations.iter().map(|v| format!("{v:?}")).collect(),
+            }
+        })
+        .collect()
+}
+
 /// Chunked deterministic parallel map: `items` is split into at most
 /// `jobs` contiguous chunks, each mapped on its own scoped thread, and the
 /// per-chunk outputs are concatenated in chunk order — the identity
@@ -472,27 +502,22 @@ pub fn explore(mc: &McConfig) -> ExploreReport {
         if frontier.is_empty() || truncated {
             break;
         }
-        let work: Vec<(usize, ModelOp)> = (0..frontier.len())
-            .flat_map(|i| alphabet.iter().map(move |&op| (i, op)))
-            .collect();
-        let frontier_ref = &frontier;
-        let results = par_map(mc.jobs, &work, |&(i, op)| {
-            let mut k = replay(&kcfg, &frontier_ref[i]);
-            apply(&mut k, op);
-            let rep = Invariants::check(&k);
-            Expansion {
-                digest: canon::digest(&k),
-                violations: rep.violations.iter().map(|v| format!("{v:?}")).collect(),
-            }
-        });
+        let results: Vec<Expansion> =
+            par_map(mc.jobs, &frontier, |trace| expand(&kcfg, &alphabet, trace))
+                .into_iter()
+                .flatten()
+                .collect();
+        let edges = frontier
+            .iter()
+            .flat_map(|trace| alphabet.iter().map(move |&op| (trace, op)));
 
         let mut next: Vec<Vec<ModelOp>> = Vec::new();
         let mut discovered = 0u64;
-        for (&(i, op), ex) in work.iter().zip(results) {
+        for ((parent, op), ex) in edges.zip(results) {
             report.transitions += 1;
             report.oracle_checks += 1;
             if !ex.violations.is_empty() {
-                let mut trace = frontier[i].clone();
+                let mut trace = parent.clone();
                 trace.push(op);
                 raw_counterexample = Some((trace, ex.violations));
                 // First violation in submission order at the minimal BFS
@@ -512,7 +537,7 @@ pub fn explore(mc: &McConfig) -> ExploreReport {
                 if report.states >= mc.max_states {
                     truncated = true;
                 } else {
-                    let mut trace = frontier[i].clone();
+                    let mut trace = parent.clone();
                     trace.push(op);
                     next.push(trace);
                 }

@@ -21,12 +21,13 @@
 //!   folds it through the workspace FNV-1a ([`ptstore_core::Fnv1a`]).
 //!   Two states with equal encodings behave identically under every future
 //!   op, so BFS dedups on the digest.
-//! * [`explore()`] replays each frontier state from a fresh boot (the kernel
-//!   is deliberately not cloneable), applies one op, runs the machine-wide
-//!   invariant oracle ([`Invariants::check`](ptstore_fault::Invariants)) on
-//!   the successor, and dedups. Expansion is chunked across host threads
-//!   with results merged in submission order, so reports are byte-identical
-//!   regardless of `--jobs`.
+//! * [`explore()`] rebuilds each frontier state once by replaying its op
+//!   trace from a fresh boot, then branches every successor off a deep
+//!   clone of it: apply one op, run the machine-wide invariant oracle
+//!   ([`Invariants::check`](ptstore_fault::Invariants)) on the successor,
+//!   and dedup. Expansion is chunked across host threads by frontier state
+//!   with results merged in submission order, so reports are
+//!   byte-identical regardless of `--jobs`.
 //!
 //! With every defense enabled the search terminates with **zero violations
 //! in every reachable state** — the bounded-exhaustive counterpart of the

@@ -9,11 +9,16 @@
 //!    fold of every discovered state) and the whole rendered report are
 //!    identical whatever the host thread count, which is what lets
 //!    `scripts/check.sh` compare two runs with a literal `cmp`.
+//!
+//! A third pins the streamed digest to its definition: folding the encoding
+//! into the hasher as it is written yields exactly the FNV-1a hash of the
+//! rendered encoding string, so streaming cannot move any digest value.
 
 use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use ptstore_core::Fnv1a;
 use ptstore_fault::replay;
 use ptstore_modelcheck::{canon, explore, McConfig, OpKind};
 
@@ -24,10 +29,10 @@ fn mc() -> McConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Equal digests imply equal encodings over a corpus of sampled op
-    /// sequences (with collisions *between* sequences made likely by
-    /// including denied attacks and unavailable ops, which leave the state
-    /// unchanged).
+    /// Equal digests imply equal encodings, and each digest is the hash of
+    /// its encoding, over a corpus of sampled op sequences (with collisions
+    /// *between* sequences made likely by including denied attacks and
+    /// unavailable ops, which leave the state unchanged).
     #[test]
     fn digest_is_injective_on_sampled_traces(picks in vec(0usize..1000, 0..6)) {
         let mc = mc();
@@ -42,6 +47,11 @@ proptest! {
             let k = replay(&kcfg, &trace[..len]);
             let enc = canon::encode(&k);
             let digest = canon::digest(&k);
+            prop_assert_eq!(
+                digest,
+                Fnv1a::hash_bytes(enc.as_bytes()),
+                "streamed digest differs from the hash of the encoding"
+            );
             match by_digest.get(&digest) {
                 Some(prev) => prop_assert_eq!(
                     prev, &enc,

@@ -110,15 +110,23 @@ cmp target/mc-a.txt target/mc-b.txt
 grep -q ": VERIFIED" target/mc-a.txt
 rm -f target/mc-a.txt target/mc-b.txt
 
-echo "== modelcheck: default bound (>= 10^4 deduped states, 0 violations) =="
+echo "== modelcheck: default bound (pinned hash, jobs determinism, 0 violations) =="
 # The acceptance floor: the default depth-5 search over the full op
 # alphabet explores at least ten thousand deduped states and every one of
-# them satisfies every invariant.
-./target/release/reproduce modelcheck --jobs 4 > target/mc-full.txt
+# them satisfies every invariant. The run is also a golden: the state count
+# and the exploration hash (an order-sensitive fold of every discovered
+# state) are pinned, so any change to the transition relation, the
+# canonical encoding or the expansion order fails here, and a sequential
+# and a 4-job run must agree byte for byte.
+./target/release/reproduce modelcheck --jobs 1 > target/mc-full.txt
+./target/release/reproduce modelcheck --jobs 4 > target/mc-full-4.txt
+cmp target/mc-full.txt target/mc-full-4.txt
 grep -q ": VERIFIED" target/mc-full.txt
+grep -q "exploration hash : 0x4fe740737cff693c" target/mc-full.txt
+grep -q "states explored  : 45094 " target/mc-full.txt
 STATES=$(sed -n 's/^  states explored  : \([0-9]*\) .*/\1/p' target/mc-full.txt)
 [ "$STATES" -ge 10000 ]
-rm -f target/mc-full.txt
+rm -f target/mc-full.txt target/mc-full-4.txt
 
 echo "== modelcheck: ablation counterexample (minimal, replayable) =="
 # Removing the PMP S-bit check must flip the verdict and print the shrunk
