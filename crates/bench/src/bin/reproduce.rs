@@ -23,7 +23,8 @@
 //! stats, and every report byte are identical at any value (the property
 //! `check.sh` gates on), so the flag trades only wall-clock time.
 //! `--no-fast-path` disables the host-side memoizations (PMP page cache,
-//! micro-TLB); modeled results are identical, only wall-clock changes.
+//! micro-TLB, bus page bursts); modeled results are identical, only
+//! wall-clock changes.
 //! `--csv <dir>` additionally writes each figure's data series as CSV for
 //! external plotting.
 //! `--trace <file>` re-runs the PTStore security rows with a trace sink

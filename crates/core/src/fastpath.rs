@@ -1,7 +1,8 @@
 //! Process-wide default switch for the host-side fast paths.
 //!
 //! The simulator carries two purely-host-side memoizations — the per-page
-//! PMP decision cache ([`crate::pmp::PmpUnit`]) and the MMU's direct-mapped
+//! PMP decision cache ([`crate::pmp::PmpUnit`]), which the bus's page
+//! bursts also rest on, and the MMU's direct-mapped
 //! micro-TLB — that change wall-clock speed but, by construction, never the
 //! modeled cycles, statistics, or verdicts. This module holds the process
 //! default consulted when such a unit is constructed, so a harness (e.g.

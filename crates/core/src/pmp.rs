@@ -520,14 +520,21 @@ impl PmpUnit {
         if !self.match_cache.enabled {
             return self.match_entry_uncached(addr);
         }
+        match self.page_match(addr) {
+            PageMatch::Uniform(m) => m,
+            PageMatch::Mixed => self.match_entry_uncached(addr),
+        }
+    }
+
+    /// The match cache's summary of the page holding `addr`, filling the
+    /// page's slot on a miss.
+    #[inline]
+    fn page_match(&self, addr: PhysAddr) -> PageMatch {
         let ppn = addr.as_u64() >> PAGE_SHIFT;
         let slot = &self.match_cache.slots[(ppn as usize) & (MATCH_CACHE_SLOTS - 1)];
         if let Some(s) = slot.get() {
             if s.epoch == self.match_cache.epoch && s.ppn == ppn {
-                return match s.state {
-                    PageMatch::Uniform(m) => m,
-                    PageMatch::Mixed => self.match_entry_uncached(addr),
-                };
+                return s.state;
             }
         }
         let state = if self.page_is_uniform(ppn) {
@@ -540,10 +547,17 @@ impl PmpUnit {
             ppn,
             state,
         }));
-        match state {
-            PageMatch::Uniform(m) => m,
-            PageMatch::Mixed => self.match_entry_uncached(addr),
-        }
+        state
+    }
+
+    /// True when the fast path is on and no active entry boundary cuts the
+    /// page holding `addr`. Then one [`check`](Self::check) of any address
+    /// in the page decides every same-kind, same-channel access to the
+    /// page: the verdicts agree, and a denial differs only in the address
+    /// it names. The bus's page bursts rest on this. With the fast path
+    /// off this is always `false`, so bursts fall back to per-access checks.
+    pub fn decides_page_at_once(&self, addr: PhysAddr) -> bool {
+        self.match_cache.enabled && matches!(self.page_match(addr), PageMatch::Uniform(_))
     }
 
     /// The byte range `[lo, hi)` an active entry covers, in u128 so NAPOT

@@ -245,17 +245,20 @@ impl FaultInjector {
             return InjectOutcome::Skipped;
         };
         // Scan the root page raw for valid non-leaf slots (pointers at
-        // next-level tables); pick one of them as the victim PTE.
-        let base = root.base_addr();
-        let mut candidates = Vec::new();
-        for i in 0..512u64 {
-            if let Ok(raw) = k.bus.mem().read_u64(base + i * 8) {
+        // next-level tables); pick one of them as the victim PTE. A zero
+        // word is never a valid PTE, so the live words are the whole scan.
+        let candidates: Vec<PhysAddr> = k
+            .bus
+            .mem()
+            .page_nonzero_words(root)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|&(_, raw)| {
                 let pte = Pte::from_bits(raw);
-                if pte.is_valid() && !pte.is_leaf() {
-                    candidates.push(base + i * 8);
-                }
-            }
-        }
+                pte.is_valid() && !pte.is_leaf()
+            })
+            .map(|(i, _)| root.base_addr() + u64::from(i) * 8)
+            .collect();
         let Some(&addr) = candidates.get((rng.random::<u64>() as usize) % candidates.len().max(1))
         else {
             return InjectOutcome::Skipped;

@@ -403,18 +403,17 @@ fn apply_pte_flip(k: &mut Kernel, hart: usize, bit: u8) -> OpOutcome {
     let Some(root) = k.process_root(owner) else {
         return OpOutcome::Unavailable;
     };
-    let base = root.base_addr();
-    let mut victim = None;
-    for i in 0..512u64 {
-        if let Ok(raw) = k.bus.mem().read_u64(base + i * 8) {
+    let victim = k
+        .bus
+        .mem()
+        .page_nonzero_words(root)
+        .unwrap_or_default()
+        .into_iter()
+        .find(|&(_, raw)| {
             let pte = Pte::from_bits(raw);
-            if pte.is_valid() && !pte.is_leaf() {
-                victim = Some(base + i * 8);
-                break;
-            }
-        }
-    }
-    let Some(addr) = victim else {
+            pte.is_valid() && !pte.is_leaf()
+        });
+    let Some(addr) = victim.map(|(i, _)| root.base_addr() + u64::from(i) * 8) else {
         return OpOutcome::Unavailable;
     };
     let ctx = AccessContext::supervisor(k.satp_s_bit()).on_hart(hart);

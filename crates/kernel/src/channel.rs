@@ -13,8 +13,11 @@
 //!
 //! * **Checked, channel-tagged accessors** — `Kernel::pt_read` /
 //!   `Kernel::pt_write` (the `ld.pt`/`sd.pt` path), `Kernel::mem_read` /
-//!   `Kernel::mem_write` (regular kernel data), and the token-field
-//!   accessors. These go through the PMP and pay modeled cycles.
+//!   `Kernel::mem_write` (regular kernel data), their page-burst twins
+//!   `Kernel::pt_read_words` / `Kernel::pt_write_words` /
+//!   `Kernel::mem_write_words`, the allocator's `Kernel::secure_page_is_zero`,
+//!   and the token-field accessors. These go through the PMP and pay
+//!   modeled cycles.
 //! * **Host-side bulk helpers** — `Kernel::raw_copy_page` /
 //!   `Kernel::raw_zero_page` / `Kernel::image_write_u64`: unchecked
 //!   `PhysMem` operations used only where the modeled machine would issue a
@@ -25,11 +28,22 @@
 //!   channel permission is validated before the bulk clear.
 
 use ptstore_core::{Channel, PhysAddr, PhysPageNum};
+use ptstore_mem::BurstError;
 
 use crate::config::DefenseMode;
 use crate::cycles::{cost, CostKind};
 use crate::error::KernelError;
 use crate::kernel::Kernel;
+
+/// How many accesses of an `n`-word burst were issued: all of them, or
+/// those up to and including the failing one. The burst twins charge
+/// exactly what the per-word loop would have charged before stopping.
+fn issued(result: &Result<(), BurstError>, n: usize) -> u64 {
+    match result {
+        Ok(()) => n as u64,
+        Err(e) => e.completed as u64 + 1,
+    }
+}
 
 impl Kernel {
     /// A checked regular-channel 8-byte read (kernel data structures).
@@ -62,6 +76,77 @@ impl Kernel {
         }
         let ch = self.pt_channel();
         Ok(self.bus.write::<u64>(pa, v, ch, self.kctx())?)
+    }
+
+    /// Regular-channel burst write of `values` from `pa`: `values.len()`
+    /// [`Self::mem_write`]s in one call (see [`ptstore_mem::Bus::write_words`]).
+    pub(crate) fn mem_write_words(
+        &mut self,
+        pa: PhysAddr,
+        values: &[u64],
+    ) -> Result<(), KernelError> {
+        let result = self
+            .bus
+            .write_words(pa, values, Channel::Regular, self.kctx());
+        self.charge(
+            CostKind::MemAccess,
+            cost::MEM_ACCESS * issued(&result, values.len()),
+        );
+        Ok(result.map_err(|e| e.error)?)
+    }
+
+    /// Defense-channel burst read into `out` from `pa`: `out.len()`
+    /// [`Self::pt_read`]s in one call.
+    pub(crate) fn pt_read_words(
+        &mut self,
+        pa: PhysAddr,
+        out: &mut [u64],
+    ) -> Result<(), KernelError> {
+        let ch = self.pt_channel();
+        let result = self.bus.read_words(pa, out, ch, self.kctx());
+        self.charge(
+            CostKind::MemAccess,
+            cost::MEM_ACCESS * issued(&result, out.len()),
+        );
+        Ok(result.map_err(|e| e.error)?)
+    }
+
+    /// Defense-channel burst write of `values` from `pa`: `values.len()`
+    /// [`Self::pt_write`]s in one call, each store paying the
+    /// virtual-isolation window where that baseline is configured.
+    pub(crate) fn pt_write_words(
+        &mut self,
+        pa: PhysAddr,
+        values: &[u64],
+    ) -> Result<(), KernelError> {
+        let ch = self.pt_channel();
+        let result = self.bus.write_words(pa, values, ch, self.kctx());
+        let n = issued(&result, values.len());
+        self.charge(CostKind::PtWrite, cost::MEM_ACCESS * n);
+        if self.cfg.defense == DefenseMode::VirtualIsolation {
+            self.charge(CostKind::VirtIsolationSwitch, cost::VIRT_ISO_WINDOW * n);
+        }
+        Ok(result.map_err(|e| e.error)?)
+    }
+
+    /// Word indices of the non-zero words of page-table page `ppn`, in
+    /// ascending order, read DRAM's-eye with no charge. This only plans
+    /// where a burst should end; every value the kernel acts on still
+    /// comes through a checked read.
+    pub(crate) fn pt_nonzero_slots(&self, ppn: PhysPageNum) -> Result<Vec<u16>, KernelError> {
+        Ok(self
+            .bus
+            .mem()
+            .page_nonzero_words(ppn)?
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect())
+    }
+
+    /// The allocator's zero-check of a would-be page-table page: one
+    /// `ld.pt` read burst over the whole page (paper §V-E3).
+    pub(crate) fn secure_page_is_zero(&mut self, ppn: PhysPageNum) -> Result<bool, KernelError> {
+        Ok(self.bus.secure_page_is_zero(ppn, self.kctx())?)
     }
 
     /// An 8-byte secure-channel read (`ld.pt`) of a token field. Cycle

@@ -880,7 +880,7 @@ impl Kernel {
             // "fresh" page means the allocator handed out an in-use page.
             self.stats.zero_checks += 1;
             self.charge(CostKind::MemAccess, cost::ZERO_CHECK_RESIDUAL);
-            let clean = self.bus.secure_page_is_zero(ppn, self.kctx())?;
+            let clean = self.secure_page_is_zero(ppn)?;
             if !clean {
                 self.stats.zero_check_failures += 1;
                 self.security_log.push(SecurityEvent::PtPageNotZero { ppn });
@@ -1127,22 +1127,31 @@ impl Kernel {
             let va = VirtAddr::new(DIRECT_MAP_BASE + g * ptstore_core::GIB);
             let gib_slot = pte_slot(gib_table, va, 2);
             self.pt_write(gib_slot, Pte::table(l1).bits())?;
-            // 512 2-MiB leaves per GiB (bounded by mem_size).
+            // 512 2-MiB leaves per GiB (bounded by mem_size), stored in
+            // ascending slot order as write bursts split at the PT-Rand
+            // holes over the pt area.
+            let mut run_start = 0;
+            let mut run = Vec::with_capacity(512);
             for i in 0..512u64 {
                 let pa = g * ptstore_core::GIB + i * 2 * MIB;
                 if pa >= self.cfg.mem_size {
                     break;
                 }
                 let leaf_ppn = PhysPageNum::new(pa >> PAGE_SHIFT);
-                let flags = self.direct_map_flags(pa);
-                let slot = PhysAddr::new(l1.base_addr().as_u64() + i * 8);
-                match flags {
+                match self.direct_map_flags(pa) {
                     Some(f) => {
-                        self.pt_write(slot, Pte::leaf(leaf_ppn, f.with(PteFlags::G)).bits())?
+                        if run.is_empty() {
+                            run_start = i;
+                        }
+                        run.push(Pte::leaf(leaf_ppn, f.with(PteFlags::G)).bits());
                     }
-                    None => { /* PT-Rand: hole over the pt area */ }
+                    None => {
+                        self.pt_write_words(l1.base_addr() + run_start * 8, &run)?;
+                        run.clear();
+                    }
                 }
             }
+            self.pt_write_words(l1.base_addr() + run_start * 8, &run)?;
         }
         Ok(())
     }

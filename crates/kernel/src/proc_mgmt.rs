@@ -128,15 +128,26 @@ impl Kernel {
             self.next_asid += 1;
         }
         self.drain_on_asid_recycle();
-        // Copy the kernel-half root entries (upper 256 slots).
+        // Copy the kernel-half root entries (upper 256 slots): every slot is
+        // loaded and every valid one stored, in slot order. The loads go out
+        // as read bursts that each end at a non-zero source slot, so a valid
+        // entry's store still follows its own load.
         let kroot = self.kernel_root;
-        for slot_idx in 256..512u64 {
-            let src = kroot.base_addr() + slot_idx * 8;
-            let raw = self.pt_read(src)?;
-            if Pte::from_bits(raw).is_valid() {
-                let dst = root.base_addr() + slot_idx * 8;
-                self.pt_write(dst, raw)?;
+        let mut words = [0u64; 256];
+        let mut from = 256;
+        let burst_ends = self.pt_nonzero_slots(kroot)?.into_iter().map(usize::from);
+        for end in burst_ends.filter(|&i| i >= 256).chain([511]) {
+            if end < from {
+                continue;
             }
+            let burst = &mut words[..=end - from];
+            self.pt_read_words(kroot.base_addr() + from as u64 * 8, burst)?;
+            for (slot_idx, &raw) in (from as u64..).zip(burst.iter()) {
+                if Pte::from_bits(raw).is_valid() {
+                    self.pt_write(root.base_addr() + slot_idx * 8, raw)?;
+                }
+            }
+            from = end + 1;
         }
         Ok(AddressSpace {
             root,
@@ -300,7 +311,7 @@ impl Kernel {
     fn dup_fd_resources(&mut self, pid: Pid) {
         let entries: Vec<crate::process::FdEntry> = {
             let p = self.procs.get(pid).expect("exists");
-            (0..64).filter_map(|fd| p.fds.get(fd).cloned()).collect()
+            p.fds.iter().map(|(_, e)| e.clone()).collect()
         };
         for e in entries {
             match e {
@@ -521,9 +532,7 @@ impl Kernel {
     pub(crate) fn close_all_fds(&mut self, pid: Pid) -> Result<(), KernelError> {
         let entries: Vec<(i32, crate::process::FdEntry)> = {
             let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
-            (0..256)
-                .filter_map(|fd| p.fds.get(fd).map(|e| (fd, e.clone())))
-                .collect()
+            p.fds.iter().map(|(fd, e)| (fd, e.clone())).collect()
         };
         for (fd, e) in entries {
             match e {
@@ -570,9 +579,7 @@ impl Kernel {
         };
         // Clear and release the PCB object (to this hart's magazine when
         // the fast-path knob is on and it has room).
-        for off in (0..crate::process::PCB_SIZE).step_by(8) {
-            self.mem_write(pcb_addr + off, 0)?;
-        }
+        self.mem_write_words(pcb_addr, &[0; crate::process::PCB_SIZE as usize / 8])?;
         if !(self.cfg.alloc_magazines && self.pcb_slab.magazine_put(self.active_hart, pcb_addr)) {
             self.pcb_slab.free(pcb_addr);
         }

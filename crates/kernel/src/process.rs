@@ -211,6 +211,14 @@ impl FdTable {
     pub fn open_count(&self) -> usize {
         self.entries.iter().flatten().count()
     }
+
+    /// The open descriptors with their entries, in ascending fd order.
+    pub fn iter(&self) -> impl Iterator<Item = (i32, &FdEntry)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(fd, e)| e.as_ref().map(|e| (fd as i32, e)))
+    }
 }
 
 /// Signal disposition (install/catch latency is what LMBench measures).

@@ -65,6 +65,11 @@ impl Default for Config {
             bus_methods: vec![
                 "read".into(),
                 "write".into(),
+                "fetch".into(),
+                "read_words".into(),
+                "write_words".into(),
+                "secure_page_is_zero".into(),
+                "inject_bit_flip".into(),
                 "install_secure_region".into(),
                 "update_secure_region".into(),
             ],
@@ -121,7 +126,9 @@ pub fn analyze(files: Vec<SourceFile>, cfg: &Config) -> Vec<Finding> {
 /// Rule 1 — **channel confinement** (§IV-C2's LLVM pass, at source level).
 ///
 /// Inside the kernel crate, raw `Bus`/`PhysMem` access — `bus.read`,
-/// `bus.write`, `mem_unchecked`, `pmp_mut`, and the PMP-programming
+/// `bus.write`, `bus.fetch`, the page bursts `bus.read_words` /
+/// `bus.write_words`, the `secure_page_is_zero` and `inject_bit_flip`
+/// helpers, `mem_unchecked`, `pmp_mut`, and the PMP-programming
 /// firmware entry points — may appear only in the allowlisted channel
 /// module(s). Anywhere else requires a justified
 /// `// ptstore-lint: allow(channel-confinement) — why` marker.

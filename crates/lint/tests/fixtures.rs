@@ -120,6 +120,35 @@ fn atomics_rule_polices_every_crate() {
 }
 
 #[test]
+fn channel_rule_flags_every_checked_bus_helper() {
+    // Bursts, fetches, the zero-check and the bit flip are bus accesses as
+    // much as `read`/`write` are: outside the channel module each fires.
+    let cfg = Config::default();
+    let bad = findings_for(
+        RULE_CHANNEL,
+        vec![kernel_file(
+            "src/proc_mgmt.rs",
+            include_str!("../fixtures/channel_burst_bad.rs"),
+        )],
+        &cfg,
+    );
+    for method in [
+        "read_words",
+        "write_words",
+        "fetch",
+        "secure_page_is_zero",
+        "inject_bit_flip",
+    ] {
+        assert!(
+            bad.iter()
+                .any(|f| f.message.contains(&format!("`{method}`"))),
+            "{method} must be flagged: {bad:#?}"
+        );
+    }
+    assert_eq!(bad.len(), 5, "five raw sites: {bad:#?}");
+}
+
+#[test]
 fn channel_rule_skips_the_channel_module_itself() {
     // The same bad text is legal inside the allowlisted channel module.
     let cfg = Config::default();

@@ -6,10 +6,14 @@
 //!
 //! Data moves through three width-generic accessors — [`Bus::read`],
 //! [`Bus::write`], and [`Bus::fetch`] — parameterised over the RV64 transfer
-//! widths via the sealed [`BusData`] trait.
+//! widths via the sealed [`BusData`] trait. Runs of 8-byte words move
+//! through the page bursts [`Bus::read_words`] and [`Bus::write_words`],
+//! which behave exactly like the per-word loop but take one PMP decision per
+//! page the PMP proves uniform.
 
 use ptstore_core::{
     AccessContext, AccessError, AccessKind, Channel, PhysAddr, PhysPageNum, PmpUnit, SecureRegion,
+    PAGE_SIZE,
 };
 use ptstore_trace::{TraceEvent, TraceSink};
 
@@ -63,6 +67,15 @@ bus_data! {
     u16, 2, read_u16, write_u16;
     u32, 4, read_u32, write_u32;
     u64, 8, read_u64, write_u64;
+}
+
+/// A page burst stopped at a failing access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BurstError {
+    /// Accesses of the burst that completed before the failing one.
+    pub completed: usize,
+    /// The failing access's error, as the per-word accessor reports it.
+    pub error: AccessError,
 }
 
 /// Physical memory behind a PMP with the PTStore extension.
@@ -272,6 +285,107 @@ impl Bus {
         Ok(v)
     }
 
+    /// Checked burst read of `out.len()` consecutive u64s from `addr`.
+    ///
+    /// Behaves exactly like `out.len()` calls of [`Bus::read::<u64>`] at
+    /// ascending addresses, stopping at the first error: the same values,
+    /// [`AccessStats`], fault count, trace events and error. On each page
+    /// the PMP decides at once ([`PmpUnit::decides_page_at_once`]) the
+    /// words take one PMP check and one frame lookup. A page the PMP does
+    /// not decide at once, an unaligned start, or an attached trace sink
+    /// runs the per-word loop.
+    ///
+    /// # Errors
+    /// The first failing access's error, with the number of words read
+    /// before it.
+    pub fn read_words(
+        &mut self,
+        addr: PhysAddr,
+        out: &mut [u64],
+        channel: Channel,
+        ctx: AccessContext,
+    ) -> Result<(), BurstError> {
+        let mut done = 0;
+        while done < out.len() {
+            let at = addr + done as u64 * 8;
+            let n = words_left_in_page(at, out.len() - done);
+            let chunk = &mut out[done..done + n];
+            if self.page_at_once(at) {
+                self.guard(at, AccessKind::Read, channel, ctx)
+                    .and_then(|()| self.mem.read_words(at, chunk))
+                    .map_err(|error| BurstError {
+                        completed: done,
+                        error,
+                    })?;
+                self.stats.record_n(channel, AccessKind::Read, n as u64);
+            } else {
+                for (i, v) in chunk.iter_mut().enumerate() {
+                    *v = self
+                        .read::<u64>(at + i as u64 * 8, channel, ctx)
+                        .map_err(|error| BurstError {
+                            completed: done + i,
+                            error,
+                        })?;
+                }
+            }
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// Checked burst write of `values` to consecutive u64s from `addr`:
+    /// exactly `values.len()` calls of [`Bus::write::<u64>`] at ascending
+    /// addresses, with the page fast path of [`Self::read_words`].
+    ///
+    /// # Errors
+    /// The first failing access's error, with the number of words written
+    /// before it.
+    pub fn write_words(
+        &mut self,
+        addr: PhysAddr,
+        values: &[u64],
+        channel: Channel,
+        ctx: AccessContext,
+    ) -> Result<(), BurstError> {
+        let mut done = 0;
+        while done < values.len() {
+            let at = addr + done as u64 * 8;
+            let n = words_left_in_page(at, values.len() - done);
+            let chunk = &values[done..done + n];
+            if self.page_at_once(at) {
+                self.guard(at, AccessKind::Write, channel, ctx)
+                    .and_then(|()| self.mem.write_words(at, chunk))
+                    .map_err(|error| BurstError {
+                        completed: done,
+                        error,
+                    })?;
+                self.stats.record_n(channel, AccessKind::Write, n as u64);
+            } else {
+                for (i, &v) in chunk.iter().enumerate() {
+                    self.write::<u64>(at + i as u64 * 8, v, channel, ctx)
+                        .map_err(|error| BurstError {
+                            completed: done + i,
+                            error,
+                        })?;
+                }
+            }
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// Whether a burst may decide the words from `addr` to the end of its
+    /// page with one PMP check. That needs an 8-byte-aligned `addr` (an
+    /// unaligned word faults on its own), a page the PMP fast path proves
+    /// uniform, and no trace observer, whose stream records one check and
+    /// one transfer per access.
+    fn page_at_once(&self, addr: PhysAddr) -> bool {
+        self.trace.is_none()
+            && self.pmp.trace_sink().is_none()
+            && addr.is_aligned(8)
+            && self.pmp.decides_page_at_once(addr)
+    }
+
     /// Flips bit `bit` of the 8-byte word at `addr` through the checked
     /// write path: the old value is sampled raw (DRAM's-eye view, no charge),
     /// then the flipped word is stored via [`Bus::write`] on `channel` under
@@ -311,10 +425,17 @@ impl Bus {
     }
 }
 
+/// How many of `remaining` words from `addr` fit before the next page
+/// boundary (at least one: an unaligned word straddling it counts).
+fn words_left_in_page(addr: PhysAddr, remaining: usize) -> usize {
+    let room = (PAGE_SIZE - addr.page_offset()).div_ceil(8);
+    remaining.min(room as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptstore_core::{MIB, PAGE_SIZE};
+    use ptstore_core::MIB;
 
     fn secured_bus() -> (Bus, SecureRegion) {
         let mut bus = Bus::new(256 * MIB);

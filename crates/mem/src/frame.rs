@@ -114,6 +114,34 @@ impl Frame {
         }
     }
 
+    /// Reads the `out.len()` consecutive words from `first`, as that many
+    /// [`Self::read_word`] calls would. A sparse frame with fewer live
+    /// words than the run is read by walking its live words instead of
+    /// probing every slot.
+    ///
+    /// # Panics
+    /// Panics if the run reaches past the last word of the page.
+    pub fn read_words(&self, first: u16, out: &mut [u64]) {
+        let first = first as usize;
+        let end = first + out.len();
+        assert!(end as u64 <= PAGE_SIZE / 8);
+        match self {
+            Frame::Words(map) if map.len() < out.len() => {
+                out.fill(0);
+                for (&i, &v) in map {
+                    if (first..end).contains(&(i as usize)) {
+                        out[i as usize - first] = v;
+                    }
+                }
+            }
+            _ => {
+                for (w, v) in (first as u16..).zip(out.iter_mut()) {
+                    *v = self.read_word(w);
+                }
+            }
+        }
+    }
+
     /// Reads a single byte at `offset`.
     ///
     /// # Panics
@@ -252,6 +280,26 @@ mod tests {
         assert_eq!(f.read_byte(4095), 0);
         assert!(f.is_zero());
         assert_eq!(f.backing_bytes(), 0);
+    }
+
+    #[test]
+    fn word_runs_read_like_single_words() {
+        let mut f = Frame::new();
+        for i in [3u16, 10, 11, 400] {
+            f.write_word(i, u64::from(i) + 1);
+        }
+        let check = |f: &Frame| {
+            for (first, len) in [(0u16, 512usize), (10, 2), (5, 3), (400, 112), (11, 1)] {
+                let mut run = vec![7; len];
+                f.read_words(first, &mut run);
+                let single: Vec<u64> = (first..).take(len).map(|i| f.read_word(i)).collect();
+                assert_eq!(run, single, "run {first}+{len}");
+            }
+        };
+        check(&f);
+        f.promote_to_dense();
+        check(&f);
+        check(&Frame::Zero);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod frame;
 pub mod phys;
 pub mod stats;
 
-pub use bus::{Bus, BusData};
+pub use bus::{BurstError, Bus, BusData};
 pub use frame::Frame;
 pub use phys::PhysMem;
 pub use ptstore_trace::Snapshot;

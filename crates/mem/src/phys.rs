@@ -144,6 +144,60 @@ impl PhysMem {
         Ok(())
     }
 
+    /// Reads `out.len()` consecutive aligned u64s starting at `addr` with
+    /// one frame lookup — the data half of a [`Bus`](crate::Bus) page burst.
+    /// The run must stay inside one page.
+    ///
+    /// # Errors
+    /// [`AccessError::Misaligned`] or [`AccessError::OutOfRange`], naming
+    /// `addr` — the first word, where a per-word loop would also stop.
+    ///
+    /// # Panics
+    /// Panics if the run crosses a page boundary.
+    pub fn read_words(&self, addr: PhysAddr, out: &mut [u64]) -> Result<(), AccessError> {
+        let (ppn, first) = self.word_run(addr, out.len())?;
+        match self.frame(ppn) {
+            Some(f) => f.read_words(first, out),
+            None => out.fill(0),
+        }
+        Ok(())
+    }
+
+    /// Writes `values` to consecutive aligned u64s starting at `addr` with
+    /// one frame lookup, storing the words in ascending order exactly as a
+    /// per-word loop would. The run must stay inside one page.
+    ///
+    /// # Errors
+    /// As for [`Self::read_words`].
+    ///
+    /// # Panics
+    /// Panics if the run crosses a page boundary.
+    pub fn write_words(&mut self, addr: PhysAddr, values: &[u64]) -> Result<(), AccessError> {
+        let (ppn, first) = self.word_run(addr, values.len())?;
+        self.with_frame_mut(ppn, |f| {
+            for (w, &v) in (first..).zip(values) {
+                f.write_word(w, v);
+            }
+        });
+        Ok(())
+    }
+
+    /// Validates a run of `n >= 1` words at `addr` the way the per-word
+    /// accessors validate its first word, returning the page and the first
+    /// word index.
+    fn word_run(&self, addr: PhysAddr, n: usize) -> Result<(u64, u16), AccessError> {
+        if !addr.is_aligned(8) {
+            return Err(AccessError::Misaligned { addr, required: 8 });
+        }
+        self.check_range(addr, 8)?;
+        let first = addr.page_offset() / 8;
+        assert!(
+            first + n as u64 <= PAGE_SIZE / 8,
+            "a word run must stay inside one page"
+        );
+        Ok((addr.as_u64() >> 12, first as u16))
+    }
+
     /// Reads one byte.
     ///
     /// # Errors
@@ -344,6 +398,28 @@ mod tests {
         assert_eq!(m.read_u64(PhysAddr::new(0x100)).unwrap(), 0);
         m.write_u64(PhysAddr::new(0x100), 77).unwrap();
         assert_eq!(m.read_u64(PhysAddr::new(0x100)).unwrap(), 77);
+    }
+
+    #[test]
+    fn word_runs_match_single_words() {
+        let mut m = PhysMem::new(16 * PAGE_SIZE);
+        let base = PhysAddr::new(3 * PAGE_SIZE + 0x40);
+        m.write_words(base, &[1, 0, 3]).unwrap();
+        assert_eq!(m.read_u64(base).unwrap(), 1);
+        assert_eq!(m.read_u64(base + 16).unwrap(), 3);
+        let mut out = [9u64; 4];
+        m.read_words(base, &mut out).unwrap();
+        assert_eq!(out, [1, 0, 3, 0]);
+        m.read_words(PhysAddr::new(0x100), &mut out).unwrap();
+        assert_eq!(out, [0; 4]);
+        assert!(matches!(
+            m.read_words(base + 4, &mut out),
+            Err(AccessError::Misaligned { .. })
+        ));
+        assert!(matches!(
+            m.write_words(PhysAddr::new(16 * PAGE_SIZE), &[1]),
+            Err(AccessError::OutOfRange { .. })
+        ));
     }
 
     #[test]

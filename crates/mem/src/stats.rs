@@ -39,17 +39,24 @@ impl AccessStats {
 
     /// Records a successful access.
     pub fn record(&mut self, channel: Channel, kind: AccessKind) {
-        match (channel, kind) {
-            (Channel::Regular, AccessKind::Read) => self.regular_reads += 1,
-            (Channel::Regular, AccessKind::Write) => self.regular_writes += 1,
-            (Channel::Regular, AccessKind::Execute) => self.fetches += 1,
-            (Channel::SecurePt, AccessKind::Read) => self.secure_reads += 1,
-            (Channel::SecurePt, AccessKind::Write) => self.secure_writes += 1,
-            (Channel::SecurePt, AccessKind::Execute) => self.fetches += 1,
-            (Channel::Ptw, AccessKind::Read) => self.ptw_reads += 1,
-            (Channel::Ptw, AccessKind::Write) => self.ptw_writes += 1,
-            (Channel::Ptw, AccessKind::Execute) => self.ptw_reads += 1,
-        }
+        self.record_n(channel, kind, 1);
+    }
+
+    /// Records `n` successful accesses of one channel and kind — what `n`
+    /// calls of [`Self::record`] would count.
+    pub fn record_n(&mut self, channel: Channel, kind: AccessKind, n: u64) {
+        let counter = match (channel, kind) {
+            (Channel::Regular, AccessKind::Read) => &mut self.regular_reads,
+            (Channel::Regular, AccessKind::Write) => &mut self.regular_writes,
+            (Channel::Regular, AccessKind::Execute) => &mut self.fetches,
+            (Channel::SecurePt, AccessKind::Read) => &mut self.secure_reads,
+            (Channel::SecurePt, AccessKind::Write) => &mut self.secure_writes,
+            (Channel::SecurePt, AccessKind::Execute) => &mut self.fetches,
+            (Channel::Ptw, AccessKind::Read) => &mut self.ptw_reads,
+            (Channel::Ptw, AccessKind::Write) => &mut self.ptw_writes,
+            (Channel::Ptw, AccessKind::Execute) => &mut self.ptw_reads,
+        };
+        *counter += n;
     }
 
     /// Records a denied access.
@@ -135,6 +142,21 @@ mod tests {
         assert_eq!(s.ptw_writes, 1);
         assert_eq!(s.total(), 7);
         assert_eq!(s.secure_total(), 2);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        for channel in [Channel::Regular, Channel::SecurePt, Channel::Ptw] {
+            for kind in [AccessKind::Read, AccessKind::Write, AccessKind::Execute] {
+                let mut one_by_one = AccessStats::new();
+                for _ in 0..5 {
+                    one_by_one.record(channel, kind);
+                }
+                let mut at_once = AccessStats::new();
+                at_once.record_n(channel, kind, 5);
+                assert_eq!(one_by_one, at_once, "{channel:?}/{kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ cargo run --offline --quiet -p ptstore-bench --bin reproduce -- --quick --scheme
 echo "== fast-path differential tests (cycle identity) =="
 cargo test --offline -q -p ptstore-mmu --test tlb_fastpath_properties
 cargo test --offline -q -p ptstore-core --test pmp_fastpath_properties
+cargo test --offline -q -p ptstore-mem --test bus_burst_properties
 cargo test --offline -q -p ptstore-workloads --test fastpath_differential
 cargo test --offline -q -p ptstore-attacks --test fastpath_attacks
 
@@ -99,6 +100,18 @@ grep -q "invariant-violated     : 0" target/fuzz-a.txt
 grep -q "drain-drop" target/fuzz-a.txt
 grep -q "watermark-skip" target/fuzz-a.txt
 rm -f target/fuzz-a.txt target/fuzz-b.txt
+
+echo "== fast-path identity: --no-fast-path output byte-identical =="
+# The PMP match cache, the micro-TLB and the bus's page bursts are host-side
+# only: switching all three off must leave every modeled figure, verdict and
+# fault outcome unchanged, end to end.
+./target/release/reproduce --quick all > target/fp-on.txt
+./target/release/reproduce --quick --no-fast-path all > target/fp-off.txt
+cmp target/fp-on.txt target/fp-off.txt
+./target/release/reproduce fuzz --seed 1 --faults 70 > target/fp-fuzz-on.txt
+./target/release/reproduce --no-fast-path fuzz --seed 1 --faults 70 > target/fp-fuzz-off.txt
+cmp target/fp-fuzz-on.txt target/fp-fuzz-off.txt
+rm -f target/fp-on.txt target/fp-off.txt target/fp-fuzz-on.txt target/fp-fuzz-off.txt
 
 echo "== modelcheck: jobs determinism at a mid bound (byte-identical) =="
 # The bounded search report prints no timing, host, or thread-count

@@ -70,6 +70,44 @@ fn pipe_across_fork() {
 }
 
 #[test]
+fn pipe_end_above_fd_64_survives_fork_and_child_exit() {
+    let mut k = boot();
+    // Fds 0..3 are the console; 32 pipes fill fds 3..=66.
+    let ends: Vec<(i32, i32)> = (0..32).map(|_| k.sys_pipe().expect("pipe")).collect();
+    let (r, w) = *ends.last().expect("32 pipes");
+    assert_eq!((r, w), (65, 66));
+    let child = k.sys_fork().expect("fork");
+    k.do_switch_to(child).expect("switch");
+    k.sys_exit(0).expect("exit");
+    k.do_switch_to(1).expect("switch to parent");
+    k.sys_wait().expect("wait");
+    // The child's exit dropped only the child's references: the parent's
+    // ends of the pipe still work.
+    k.sys_write(w, b"still open").expect("write");
+    assert_eq!(k.sys_read(r, 10).expect("read"), b"still open");
+}
+
+#[test]
+fn pipe_end_above_fd_256_is_closed_at_exit() {
+    let mut k = boot();
+    // 127 pipes fill fds 3..=256; the 128th lands at fds 257/258.
+    let ends: Vec<(i32, i32)> = (0..128).map(|_| k.sys_pipe().expect("pipe")).collect();
+    let (r, w) = *ends.last().expect("128 pipes");
+    assert_eq!((r, w), (257, 258));
+    let child = k.sys_fork().expect("fork");
+    // The parent drops its write end; the child's copy keeps the pipe
+    // open, so an empty read must block rather than report EOF.
+    k.sys_close(w).expect("close");
+    assert!(matches!(k.sys_read(r, 8), Err(KernelError::WouldBlock)));
+    k.do_switch_to(child).expect("switch");
+    k.sys_exit(0).expect("exit");
+    k.do_switch_to(1).expect("switch to parent");
+    k.sys_wait().expect("wait");
+    // Exit closed the child's write end too: the pipe now reads EOF.
+    assert_eq!(k.sys_read(r, 8).expect("read at EOF"), b"");
+}
+
+#[test]
 fn cow_isolation_is_real_memory_isolation() {
     let mut k = boot();
     k.sys_brk(ptstore::kernel::pagetable::USER_HEAP_BASE + PAGE_SIZE)
